@@ -7,8 +7,9 @@
 //!            [--baseline BENCH_N.json [--gate RATIO]] [--inject-regression]`
 //!
 //! Runs a fixed set of workloads — the simulator hot path, the brute-force
-//! deadlock searcher, the shrinker, a full sweep (16 points x 3
-//! replicates) and an oracle campaign — and writes one JSON document with,
+//! deadlock searcher, the shrinker, Duato's escape check at four sizes, a
+//! full sweep (16 points x 3 replicates) and an oracle campaign — and
+//! writes one JSON document with,
 //! per workload, the wall-clock nanoseconds **and** the deterministic
 //! work-unit counters behind them (cycles simulated, GFP sweeps, shrink
 //! evaluations, CDG edges visited, ...), captured by one dedicated run
@@ -33,7 +34,9 @@
 
 use ebda_bench::harness::bench;
 use ebda_cdg::dally::{design_universe, infer_vcs};
+use ebda_cdg::duato::verify_escape;
 use ebda_cdg::topology::Topology as CdgTopology;
+use ebda_core::{Channel, PartitionSeq, TurnSet};
 use ebda_obs::json::Value;
 use ebda_obs::ledger::git_rev;
 use ebda_oracle::artifact::{Artifact, ArtifactKind};
@@ -108,6 +111,38 @@ fn oracle_workload() -> f64 {
     let report = run_campaign(&cfg);
     assert!(report.is_clean(), "{report}");
     t0.elapsed().as_nanos() as f64
+}
+
+/// One Duato escape check: topology, VCs, universe and turns.
+type DuatoPoint = (CdgTopology, Vec<u8>, Vec<Channel>, TurnSet);
+
+/// Duato's escape check on the `verify-audit` ladder's designs, so its
+/// connectivity search gets a scaling curve: `X1+ Y1+ Z1+ X1- | Y1- Z1-`
+/// on 4³, 6³ and 8³ meshes and the dateline design on a 12x12 torus.
+fn duato_points() -> Vec<(&'static str, DuatoPoint)> {
+    let point = |seq: &PartitionSeq, topo: CdgTopology| {
+        let universe = design_universe(seq);
+        let vcs = infer_vcs(&universe, topo.dims());
+        let turns = ebda_core::extract_turns(seq).unwrap().into_turn_set();
+        (topo, vcs, universe, turns)
+    };
+    let mesh3 = PartitionSeq::parse("X1+ Y1+ Z1+ X1- | Y1- Z1-").unwrap();
+    let mesh = |r| point(&mesh3, CdgTopology::mesh(&[r, r, r]));
+    let dateline = ebda_core::catalog::torus_dateline(&[12, 12]);
+    vec![
+        ("duato/mesh3-4", mesh(4)),
+        ("duato/mesh3-6", mesh(6)),
+        ("duato/mesh3-8", mesh(8)),
+        (
+            "duato/torus2-12",
+            point(&dateline, CdgTopology::torus(&[12, 12])),
+        ),
+    ]
+}
+
+fn duato_check((topo, vcs, universe, turns): &DuatoPoint) {
+    let report = verify_escape(topo, vcs, universe, turns);
+    assert!(report.is_deadlock_free(), "{report}");
 }
 
 fn torus_rings() -> Artifact {
@@ -343,6 +378,11 @@ fn main() -> ExitCode {
         let small = incr::shrink_while_cyclic(&cdg_start, DEFAULT_SHRINK_BUDGET, 1);
         assert_eq!(small, cdg_start, "the turn ring is already 1-minimal");
     });
+    let duato = duato_points();
+    let work_duato: Vec<_> = duato
+        .iter()
+        .map(|(_, p)| counted_run(|| duato_check(p)))
+        .collect();
     let work_sweep = counted_run(|| {
         sweep_workload();
     });
@@ -411,6 +451,16 @@ fn main() -> ExitCode {
         mode: "harness",
         work: work_cdg_shrink,
     });
+
+    for ((name, p), work) in duato.iter().zip(work_duato) {
+        let m = bench(name, || duato_check(p));
+        entries.push(Entry {
+            name,
+            ns: m.mean_ns,
+            mode: "harness",
+            work,
+        });
+    }
 
     // Macro workloads, timed once.
     let ns = sweep_workload();

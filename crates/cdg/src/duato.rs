@@ -8,13 +8,15 @@
 //!
 //! This module checks the two structural conditions on a concrete topology:
 //! the escape turn relation must have an acyclic CDG, and the escape
-//! subnetwork alone must connect every source to every destination.
+//! subnetwork alone must connect every source to every destination. The
+//! connectivity half runs one backward BFS per destination over
+//! `(node, last escape class)` states, O(N^2 k^2) for N nodes and k
+//! escape classes.
 
 use crate::dally::verify_turn_set;
 use crate::graph::ConcreteChannel;
 use crate::topology::{NodeId, Topology};
-use ebda_core::{Channel, TurnSet};
-use std::collections::VecDeque;
+use ebda_core::{Channel, Direction, TurnSet};
 use std::fmt;
 
 /// The outcome of checking Duato's conditions.
@@ -74,10 +76,11 @@ impl fmt::Display for DuatoReport {
 /// Checks Duato's conditions for an escape subnetwork described by a
 /// class-level turn set over `escape_universe`.
 ///
-/// Connectivity is checked with minimal-path reachability: from every
-/// source, a BFS over (node, last escape class) states must reach every
-/// other node while strictly decreasing distance (escape channels in
-/// Duato-style designs are dimension-ordered and minimal).
+/// Connectivity is checked with minimal-path reachability over (node,
+/// last escape class) states: every node must reach every other node
+/// while strictly decreasing distance (escape channels in Duato-style
+/// designs are dimension-ordered and minimal). One backward BFS per
+/// destination answers every source at once.
 pub fn verify_escape(
     topo: &Topology,
     vcs: &[u8],
@@ -119,81 +122,105 @@ pub fn verify_escape_given(
     }
 }
 
-/// BFS over `(node, last class)` states restricted to minimal moves.
+/// Escape connectivity over `(node, last escape class)` states, minimal
+/// moves only. The minimal-move filter depends on the destination alone,
+/// so one backward BFS per destination, seeded with every `(dst, class)`
+/// state, marks each state that can still reach `dst`; a source is
+/// connected when one of its first hops lands on such a state. The
+/// predecessor and allowed-turn tables are built once and one arena
+/// serves every destination: O(N^2 k^2) for N nodes and k classes.
+///
+/// The witness is the smallest unreachable `(src, dst)` in source-major
+/// order, exactly what an all-pairs search reports first. States dequeued
+/// are recorded as `cdg/duato:bfs_states`.
 fn check_connectivity(
     topo: &Topology,
     universe: &[Channel],
     turns: &TurnSet,
 ) -> (bool, Option<(NodeId, NodeId)>) {
-    let n = topo.node_count();
-    for src in 0..n {
-        for dst in 0..n {
-            if src == dst {
-                continue;
-            }
-            if !reachable(topo, universe, turns, src, dst) {
-                return (false, Some((src, dst)));
+    const NONE: usize = usize::MAX;
+    let (n, k, dims) = (topo.node_count(), universe.len(), topo.dims());
+    let coords: Vec<i64> = (0..n).flat_map(|v| topo.coords(v)).collect();
+    let at = |v: NodeId| &coords[v * dims..(v + 1) * dims];
+    // prev[w * k + c]: the node whose class-`c` hop lands on `w`, if any.
+    let mut prev = vec![NONE; n * k];
+    for v in 0..n {
+        for (ci, c) in universe.iter().enumerate() {
+            if c.class.contains(at(v)) {
+                if let Some(w) = topo.neighbor(v, c.dim, c.dir) {
+                    prev[w * k + ci] = v;
+                }
             }
         }
     }
-    (true, None)
-}
+    // into[cj]: the classes a packet may arrive on and still take `cj`.
+    let into: Vec<Vec<usize>> = universe
+        .iter()
+        .map(|&to| {
+            (0..k)
+                .filter(|&ci| turns.allows(universe[ci], to))
+                .collect()
+        })
+        .collect();
+    // Whether a hop on `c` from `here` to its neighbour approaches `want`.
+    let towards = |c: Channel, here: i64, want: i64| {
+        if topo.wraps(c.dim) {
+            // On tori either rotation that reduces ring distance counts.
+            let r = topo.radix()[c.dim.index()] as i64;
+            let fwd = (want - here).rem_euclid(r);
+            match c.dir {
+                Direction::Plus => fwd != 0 && fwd <= r / 2,
+                Direction::Minus => fwd != 0 && fwd > r / 2,
+            }
+        } else {
+            match c.dir {
+                Direction::Plus => want > here,
+                Direction::Minus => want < here,
+            }
+        }
+    };
 
-fn reachable(
-    topo: &Topology,
-    universe: &[Channel],
-    turns: &TurnSet,
-    src: NodeId,
-    dst: NodeId,
-) -> bool {
-    // State: (node, last class index or usize::MAX at injection).
-    let k = universe.len();
-    let mut seen = vec![false; topo.node_count() * (k + 1)];
-    let state = |node: NodeId, last: usize| node * (k + 1) + last;
-    let mut queue = VecDeque::new();
-    queue.push_back((src, usize::MAX));
-    seen[state(src, k)] = true;
-    let dstc = topo.coords(dst);
-    while let Some((node, last)) = queue.pop_front() {
-        if node == dst {
-            return true;
+    let mut good = vec![false; n * k];
+    let mut inj = vec![false; n];
+    let mut queue: Vec<usize> = Vec::with_capacity(n * k);
+    let mut states = 0u64;
+    let mut witness: Option<(NodeId, NodeId)> = None;
+    for dst in 0..n {
+        good.fill(false);
+        inj.fill(false);
+        queue.clear();
+        queue.extend(dst * k..(dst + 1) * k);
+        good[dst * k..(dst + 1) * k].fill(true);
+        let mut head = 0;
+        while let Some(&s) = queue.get(head) {
+            head += 1;
+            let (v, cj) = (prev[s], s % k);
+            let c = universe[cj];
+            let d = c.dim.index();
+            if v == NONE || !towards(c, at(v)[d], at(dst)[d]) {
+                continue;
+            }
+            inj[v] = true;
+            for &ci in &into[cj] {
+                let t = v * k + ci;
+                if !good[t] {
+                    good[t] = true;
+                    queue.push(t);
+                }
+            }
         }
-        let coords = topo.coords(node);
-        for (ci, &c) in universe.iter().enumerate() {
-            // Minimal move: the hop must reduce distance to dst.
-            let here = coords[c.dim.index()];
-            let want = dstc[c.dim.index()];
-            let towards = if topo.wraps(c.dim) {
-                // On tori allow either rotation that reduces ring distance.
-                let r = topo.radix()[c.dim.index()] as i64;
-                let fwd = ((want - here) % r + r) % r;
-                match c.dir {
-                    ebda_core::Direction::Plus => fwd != 0 && fwd <= r / 2,
-                    ebda_core::Direction::Minus => fwd != 0 && fwd > r / 2,
-                }
-            } else {
-                match c.dir {
-                    ebda_core::Direction::Plus => want > here,
-                    ebda_core::Direction::Minus => want < here,
-                }
-            };
-            if !towards || !c.class.contains(&coords) {
-                continue;
+        states += head as u64;
+        if let Some(src) = (0..n).find(|&src| src != dst && !inj[src]) {
+            if witness.is_none_or(|(s, _)| src < s) {
+                witness = Some((src, dst));
             }
-            let allowed = last == usize::MAX || turns.allows(universe[last], c);
-            if !allowed {
-                continue;
-            }
-            if let Some(next) = topo.neighbor(node, c.dim, c.dir) {
-                let s = state(next, ci);
-                if !seen[s] {
-                    seen[s] = true;
-                    queue.push_back((next, ci));
-                }
+            if src == 0 {
+                break;
             }
         }
     }
-    false
+    ebda_obs::prof::work("cdg/duato", "bfs_states", states);
+    (witness.is_none(), witness)
 }
 
 #[cfg(test)]

@@ -62,13 +62,21 @@ pub enum Value {
     Obj(BTreeMap<String, Value>),
 }
 
+/// Deepest array/object nesting [`Value::parse`] accepts. Ledger lines,
+/// provenance documents, coverage maps and profiles nest fewer than ten
+/// levels; the limit keeps hostile input from overflowing the stack of
+/// the recursive-descent parser.
+pub const MAX_DEPTH: usize = 256;
+
 impl Value {
-    /// Parses a complete JSON document, rejecting trailing garbage.
+    /// Parses a complete JSON document, rejecting trailing garbage and
+    /// nesting deeper than [`MAX_DEPTH`].
     pub fn parse(input: &str) -> Result<Value, String> {
         let bytes: Vec<char> = input.chars().collect();
         let mut p = Parser {
             chars: &bytes,
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -123,6 +131,8 @@ impl Value {
 struct Parser<'a> {
     chars: &'a [char],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -166,8 +176,8 @@ impl Parser<'_> {
     fn value(&mut self) -> Result<Value, String> {
         self.skip_ws();
         match self.peek() {
-            Some('{') => self.object(),
-            Some('[') => self.array(),
+            Some('{') => self.nested(Self::object),
+            Some('[') => self.nested(Self::array),
             Some('"') => Ok(Value::Str(self.string()?)),
             Some('t') => self.literal("true", Value::Bool(true)),
             Some('f') => self.literal("false", Value::Bool(false)),
@@ -176,6 +186,16 @@ impl Parser<'_> {
             Some(c) => Err(format!("unexpected '{c}' at {}", self.pos)),
             None => Err("unexpected end of input".to_string()),
         }
+    }
+
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} at {}", self.pos));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Value, String> {
@@ -310,6 +330,48 @@ mod tests {
         assert_eq!(v.get("b").unwrap().get("c"), Some(&Value::Bool(true)));
         assert_eq!(v.get("b").unwrap().get("d"), Some(&Value::Null));
         assert_eq!(v.get("e").unwrap().as_str(), Some("x"));
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            let doc = open.repeat(1_000_000);
+            let err = Value::parse(&doc).unwrap_err();
+            assert!(err.contains("nesting deeper than"), "{err}");
+            // Exactly at the limit still parses; one more level does not.
+            let at = format!("{}0{}", open.repeat(MAX_DEPTH), close.repeat(MAX_DEPTH));
+            assert!(Value::parse(&at).is_ok());
+            let past = format!("{open}{at}{close}");
+            assert!(Value::parse(&past).is_err());
+        }
+    }
+
+    /// Nesting depth of a parsed value (scalars are depth 0).
+    fn depth(v: &Value) -> usize {
+        match v {
+            Value::Arr(xs) => 1 + xs.iter().map(depth).max().unwrap_or(0),
+            Value::Obj(m) => 1 + m.values().map(depth).max().unwrap_or(0),
+            _ => 0,
+        }
+    }
+
+    #[test]
+    fn golden_ledger_and_provenance_parse_well_within_the_limit() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../oracle/tests/golden");
+        let ledger = std::fs::read_to_string(dir.join("ledger.jsonl")).unwrap();
+        let mut docs = Vec::new();
+        for line in ledger.lines() {
+            let record = Value::parse(line).unwrap();
+            // The provenance document is embedded as a string.
+            let prov = record.get("provenance").and_then(Value::as_str).unwrap();
+            docs.push(Value::parse(prov).unwrap());
+            docs.push(record);
+        }
+        let text = std::fs::read_to_string(dir.join("provenance_xy_mesh3x3.json")).unwrap();
+        docs.push(Value::parse(&text).unwrap());
+        assert!(docs.len() >= 3);
+        let deepest = docs.iter().map(depth).max().unwrap();
+        assert!(deepest * 16 <= MAX_DEPTH, "golden depth {deepest}");
     }
 
     #[test]

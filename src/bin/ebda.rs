@@ -40,6 +40,8 @@ const USAGE: &str = "usage:
                                              (--ledger: run all four verdict
                                              paths and append one provenance-
                                              carrying run-ledger record)
+                 [--profile-out FILE]        self-profiler report, as for
+                                             simulate (EBDA_PROFILE_OUT)
   ebda certify  --turns \"X1+>Y1+,Y1->X1-,...\"  reconstruct a partitioning
                                              certificate from raw turns
   ebda check-cert FILE                       independently re-validate every
@@ -282,7 +284,18 @@ fn cmd_turns(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_verify(args: &[String]) -> Result<(), String> {
+fn cmd_verify(raw_args: &[String]) -> Result<(), String> {
+    // Same observability flags as `simulate`: --profile-out records the
+    // verdict paths' phase tree and work counters.
+    let mut argv: Vec<String> = raw_args.to_vec();
+    let mut obs = ebda::bench::trace::ObsOptions::parse(&mut argv);
+    obs.activate();
+    let result = run_verify(&argv);
+    obs.finish();
+    result
+}
+
+fn run_verify(args: &[String]) -> Result<(), String> {
     let seq = parse_design(args)?;
     let topo = topology(args, design_dims(&seq))?;
     if topo.dims() < design_dims(&seq) {

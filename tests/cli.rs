@@ -145,3 +145,51 @@ fn unknown_flags_do_not_crash() {
     let out = ebda(&["bogus"]);
     assert!(!out.status.success());
 }
+
+#[test]
+fn verify_profile_out_records_duato_without_changing_verdict_bytes() {
+    let dir = std::env::temp_dir().join(format!("ebda-verify-profile-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let ledger = dir.join("v.jsonl");
+    let profile = dir.join("p.json");
+    let (ledger_s, profile_s) = (ledger.to_str().unwrap(), profile.to_str().unwrap());
+    let verify = |extra: &[&str]| {
+        std::fs::remove_file(&ledger).ok();
+        let mut args = vec![
+            "verify",
+            "X- | X+ Y+ Y-",
+            "--mesh",
+            "4x4",
+            "--ledger",
+            ledger_s,
+        ];
+        args.extend_from_slice(extra);
+        let out = ebda(&args);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        (out.stdout, std::fs::read(&ledger).unwrap())
+    };
+    let plain = verify(&[]);
+    let profiled = verify(&["--profile-out", profile_s]);
+    assert_eq!(plain, profiled, "stdout and ledger bytes must not change");
+
+    let out = ebda(&["profile", profile_s, "--counters"]);
+    assert!(out.status.success());
+    let counters = String::from_utf8(out.stdout).unwrap();
+    assert!(
+        counters
+            .lines()
+            .any(|l| l.starts_with("oracle/evaluate/duato calls=1")),
+        "{counters}"
+    );
+    assert!(
+        counters
+            .lines()
+            .any(|l| l.starts_with("cdg/duato ") && l.contains(" bfs_states=")),
+        "{counters}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
