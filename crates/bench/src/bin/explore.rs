@@ -5,9 +5,11 @@
 //! Usage: `cargo run -p ebda-bench --bin explore [-- <vcs like 1,2>]`
 
 //! `--trace-out <path>` (or `EBDA_TRACE`) additionally writes the
-//! telemetry snapshot (Algorithm 1/2 + CDG spans and counters) as JSON.
+//! self-profiler report (the `core/algorithm1`, `core/algorithm2/derive`
+//! and `cdg/*` phases with their work units); render it with
+//! `ebda profile <path>`.
 
-use ebda_bench::trace::{write_telemetry, ObsOptions};
+use ebda_bench::trace::{write_profile, ObsOptions};
 use ebda_cdg::{verify_design, Topology};
 use ebda_core::adaptiveness::{adaptiveness_profile, region_classes, RegionClass};
 use ebda_core::algorithm2::{derive_all, transition_reorderings};
@@ -93,7 +95,7 @@ fn main() {
         rows.len()
     );
     if let Some(path) = &obs.trace {
-        write_telemetry(path);
+        write_profile(path);
     }
     obs.finish();
 }

@@ -16,7 +16,8 @@
 //! count — rows merge in matrix order, not completion order.
 //!
 //! Observability: `--trace-out <path>` (or `EBDA_TRACE`) writes the
-//! telemetry snapshot on exit; `--journey-out <path>` (or
+//! self-profiler report on exit (a merged per-run event log would be
+//! meaningless); `--journey-out <path>` (or
 //! `EBDA_JOURNEY_OUT`) records per-packet journeys of every point —
 //! one Chrome-trace "process" per point, thinned with
 //! `--journey-sample-rate <p>` — and writes the merged timeline on
@@ -30,7 +31,7 @@
 //! smoke-test size.
 
 use ebda_bench::sweep_matrix::run_sweep;
-use ebda_bench::trace::{write_telemetry, ObsOptions};
+use ebda_bench::trace::{write_profile, ObsOptions};
 use std::io::Write;
 
 fn main() {
@@ -61,7 +62,7 @@ fn main() {
         }
     }
     if let Some(path) = &obs.trace {
-        write_telemetry(path);
+        write_profile(path);
     }
     if let (Some(mut builder), Some(path)) = (result.journeys, &obs.journey) {
         // With the profiler on, the worker busy timeline renders next to

@@ -22,6 +22,7 @@
 //! | `--ledger <path>` | off | append one provenance-carrying run-ledger record per entry (`EBDA_LEDGER`); bytes are identical at every thread count |
 //! | `--coverage-out <path>` | off | write the campaign's merged design-space coverage map as canonical JSON; bytes are identical at every thread count |
 //! | `--incremental <on\|off>` | on | dirty-SCC incremental re-verification when shrinking mismatches (`EBDA_INCREMENTAL`); report, ledger and coverage bytes are identical either way |
+//! | `--trace-out <path>` | off | write the self-profiler report, as `--profile-out` does (`EBDA_TRACE`) |
 //!
 //! All campaign and stats output is deterministic: wall-clock timings go
 //! to stderr only, so CI can diff stdout across thread counts. Exit code
@@ -30,7 +31,7 @@
 
 use std::path::PathBuf;
 
-use crate::trace::{write_telemetry, ObsOptions};
+use crate::trace::{write_profile, ObsOptions};
 use ebda_corpus::{families, store, CorpusCampaignConfig};
 use ebda_oracle::shrink::DEFAULT_SHRINK_BUDGET;
 use ebda_oracle::verdict::Mutation;
@@ -208,7 +209,7 @@ fn campaign(mut args: Vec<String>) -> i32 {
         );
     }
     if let Some(path) = &obs.trace {
-        write_telemetry(path);
+        write_profile(path);
     }
     obs.finish();
 

@@ -12,7 +12,7 @@
 //! | `--max-nodes <n>` | 36 | topology size ceiling |
 //! | `--mutate <name>` | none | deliberately break a checker (`dally-ignores-wrap`, `ebda-skips-theorem1`) |
 //! | `--expect-disagreement` | off | exit 0 iff a disagreement IS found (mutation self-check) |
-//! | `--trace-out <path>` | off | write the replay trace (on disagreement) or the telemetry snapshot |
+//! | `--trace-out <path>` | off | write the replay trace (on disagreement) or the self-profiler report |
 //! | `--journey-out <path>` | off | write the caught replay's packet journeys as a Chrome trace (`EBDA_JOURNEY_OUT`) |
 //! | `--journey-sample-rate <p>` | 1.0 | fraction of replay packets journey-traced (`EBDA_JOURNEY_SAMPLE_RATE`) |
 //! | `--metrics-addr <host:port>` | off | serve live campaign metrics at `/metrics` (`EBDA_METRICS_ADDR`) |
@@ -27,7 +27,7 @@
 //! default, caught-disagreement under `--expect-disagreement` — and 1
 //! otherwise, so both the CI guard and its self-check are one invocation.
 
-use crate::trace::{write_telemetry, ObsOptions};
+use crate::trace::{write_profile, ObsOptions};
 use ebda_oracle::differential::{run_campaign, CampaignConfig};
 use ebda_oracle::verdict::Mutation;
 use std::time::Duration;
@@ -154,7 +154,7 @@ pub fn run(mut args: Vec<String>) -> i32 {
                     .unwrap_or_else(|e| panic!("write trace {}: {e}", path.display()));
                 eprintln!("replay trace written to {}", path.display());
             }
-            None => write_telemetry(path),
+            None => write_profile(path),
         }
     }
     if let Some(path) = &obs.journey {

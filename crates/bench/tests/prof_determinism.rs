@@ -8,13 +8,18 @@ use ebda_obs::ProfSnapshot;
 use std::path::PathBuf;
 use std::process::Command;
 
-/// Runs `sweep --quick --threads N --profile-out <tmp>` and returns the
-/// parsed snapshot plus the raw file text.
-fn profiled_sweep(threads: usize) -> (ProfSnapshot, String) {
-    let path = std::env::temp_dir().join(format!("ebda-prof-det-{threads}.json"));
-    let status = Command::new(env!("CARGO_BIN_EXE_sweep"))
+/// Runs bench binary `bin` with `args` plus `--threads N --profile-out
+/// <tmp>` and returns the parsed snapshot plus the raw file text.
+fn profiled(bin: &str, args: &[&str], threads: usize) -> (ProfSnapshot, String) {
+    let name = std::path::Path::new(bin)
+        .file_name()
+        .unwrap()
+        .to_str()
+        .unwrap();
+    let path = std::env::temp_dir().join(format!("ebda-prof-det-{name}-{threads}.json"));
+    let status = Command::new(bin)
+        .args(args)
         .args([
-            "--quick",
             "--threads",
             &threads.to_string(),
             "--profile-out",
@@ -22,17 +27,23 @@ fn profiled_sweep(threads: usize) -> (ProfSnapshot, String) {
         ])
         .env_remove("EBDA_THREADS")
         .env_remove("EBDA_PROFILE_OUT")
+        .env_remove("EBDA_TRACE")
         .stdout(std::process::Stdio::null())
         .stderr(std::process::Stdio::null())
         .status()
-        .expect("spawn sweep");
-    assert!(status.success(), "sweep --threads {threads} failed");
+        .expect("spawn bench binary");
+    assert!(status.success(), "{name} --threads {threads} failed");
     let text = std::fs::read_to_string(&path).expect("profile written");
     std::fs::remove_file(&path).ok();
     let doc = Value::parse(&text).expect("profile is JSON");
     let snap = ProfSnapshot::from_value(doc.get("ebdaProfile").expect("ebdaProfile key"))
         .expect("snapshot parses");
     (snap, text)
+}
+
+/// Runs `sweep --quick --threads N --profile-out <tmp>`.
+fn profiled_sweep(threads: usize) -> (ProfSnapshot, String) {
+    profiled(env!("CARGO_BIN_EXE_sweep"), &["--quick"], threads)
 }
 
 #[test]
@@ -70,6 +81,36 @@ fn work_unit_counters_are_byte_identical_across_thread_counts() {
         parallel.workers.len(),
         8,
         "one busy segment per quick-sweep point"
+    );
+}
+
+/// The paper's construction path (Algorithm 1 partitioning, CDG
+/// construction, cycle search) records through the profiler too, and
+/// its counter tree does not depend on the thread count either.
+#[test]
+fn construction_path_is_profiled_and_thread_count_invariant() {
+    let (serial, _) = profiled(env!("CARGO_BIN_EXE_scalability"), &[], 1);
+    let (parallel, _) = profiled(env!("CARGO_BIN_EXE_scalability"), &[], 4);
+    for (phase, unit) in [
+        ("core/algorithm1", "rounds"),
+        ("core/algorithm1", "partitions_created"),
+        ("cdg/csr_build", "nodes"),
+        ("cdg/csr_build", "edges"),
+    ] {
+        let stat = serial
+            .phases
+            .get(phase)
+            .unwrap_or_else(|| panic!("missing phase {phase}"));
+        assert!(stat.calls > 0, "{phase} never ran");
+        assert!(
+            stat.work.get(unit).is_some_and(|&v| v > 0),
+            "{phase}:{unit} not counted"
+        );
+    }
+    assert_eq!(
+        serial.counters_text(),
+        parallel.counters_text(),
+        "construction counter tree must not depend on --threads"
     );
 }
 

@@ -220,12 +220,11 @@ thread_local! {
 }
 
 /// Finds a directed cycle, returning the node indices along it, or
-/// `None` for acyclic graphs. Same traversal (iterative three-colour
-/// DFS, parent back-walk) and same witness as
-/// [`crate::cycle::find_cycle`], but walking the flat CSR arrays with
-/// the shared scratch buffer instead of per-call allocations.
+/// `None` for acyclic graphs. Iterative three-colour DFS (no recursion:
+/// CDGs of large tori are deep) with a parent back-walk for the
+/// witness, walking the flat CSR arrays with the shared scratch buffer
+/// instead of per-call allocations.
 pub fn find_cycle(csr: &Csr) -> Option<Vec<u32>> {
-    let _span = ebda_obs::span("cdg.cycle.find_cycle");
     let n = csr.node_count();
     let mut edges_visited = 0u64;
     let found = SCRATCH.with(|s| {
@@ -275,11 +274,7 @@ pub fn find_cycle(csr: &Csr) -> Option<Vec<u32>> {
         }
         None
     });
-    ebda_obs::counter_add("cdg.cycle.edges_visited", edges_visited);
     ebda_obs::prof::work("cdg/cycle", "edges_visited", edges_visited);
-    if found.is_some() {
-        ebda_obs::counter_add("cdg.cycle.cycles_found", 1);
-    }
     found
 }
 
@@ -320,10 +315,8 @@ pub fn topological_order(csr: &Csr) -> Option<Vec<u32>> {
 
 /// Tarjan's strongly connected components (iterative) over the CSR,
 /// returning the dense [`SccInfo`] the incremental engine indexes by.
-/// Components come out in reverse topological order, exactly like
-/// [`crate::cycle::tarjan_scc`].
+/// Components come out in reverse topological order.
 pub fn tarjan(csr: &Csr) -> SccInfo {
-    let _span = ebda_obs::span("cdg.cycle.tarjan_scc");
     let n = csr.node_count();
     ebda_obs::prof::work("cdg/scc", "nodes", n as u64);
     let mut comp_of = vec![u32::MAX; n];
@@ -389,12 +382,6 @@ pub fn tarjan(csr: &Csr) -> SccInfo {
             }
         }
     });
-    ebda_obs::counter_add("cdg.cycle.scc_runs", 1);
-    ebda_obs::counter_add("cdg.cycle.scc_count", comp_nodes.len() as u64);
-    ebda_obs::counter_max(
-        "cdg.cycle.scc_max_size",
-        comp_nodes.iter().map(Vec::len).max().unwrap_or(0) as u64,
-    );
     SccInfo {
         comp_of,
         comp_nodes,
@@ -479,6 +466,22 @@ mod tests {
         Csr::new(edges.len(), row_start, col)
     }
 
+    /// `reach[u][v]` iff a path of one or more edges leads from `u` to `v`.
+    fn reachability(edges: &[Vec<u32>]) -> Vec<Vec<bool>> {
+        (0..edges.len())
+            .map(|u| {
+                let mut seen = vec![false; edges.len()];
+                let mut queue = edges[u].clone();
+                while let Some(v) = queue.pop() {
+                    if !std::mem::replace(&mut seen[v as usize], true) {
+                        queue.extend_from_slice(&edges[v as usize]);
+                    }
+                }
+                seen
+            })
+            .collect()
+    }
+
     #[test]
     fn matches_vec_backed_cycle_search() {
         let graphs: Vec<Vec<Vec<u32>>> = vec![
@@ -490,12 +493,27 @@ mod tests {
             vec![vec![1], vec![0], vec![3], vec![2]],
         ];
         for g in &graphs {
-            assert_eq!(find_cycle(&csr_of(g)), crate::cycle::find_cycle(g), "{g:?}");
-            assert_eq!(
-                tarjan(&csr_of(g)).comp_nodes,
-                crate::cycle::tarjan_scc(g),
-                "{g:?}"
-            );
+            let csr = csr_of(g);
+            let reach = reachability(g);
+            let n = g.len();
+            // A cycle exists iff some node reaches itself, and any
+            // witness is a closed walk of the graph.
+            let cycle = find_cycle(&csr);
+            assert_eq!(cycle.is_some(), (0..n).any(|u| reach[u][u]), "{g:?}");
+            if let Some(c) = cycle {
+                let closes = |a: u32, b: u32| g[a as usize].contains(&b);
+                assert!(c.windows(2).all(|w| closes(w[0], w[1])), "{g:?}");
+                assert!(closes(*c.last().unwrap(), c[0]), "{g:?}");
+            }
+            // SCCs are the mutual-reachability classes.
+            let scc = tarjan(&csr);
+            for (u, from_u) in reach.iter().enumerate() {
+                for (v, from_v) in reach.iter().enumerate() {
+                    let mutual = u == v || (from_u[v] && from_v[u]);
+                    assert_eq!(scc.comp_of[u] == scc.comp_of[v], mutual, "{g:?}");
+                }
+                assert_eq!(scc.cyclic[scc.comp_of[u] as usize], from_u[u], "{g:?}");
+            }
         }
     }
 

@@ -187,7 +187,7 @@ impl Cdg {
     where
         F: Fn(usize, usize) -> bool,
     {
-        let _span = ebda_obs::span("cdg.graph.build");
+        let _phase = ebda_obs::prof::phase("cdg/csr_build");
         // Dense per-node staging (no hashing); each group ascends, so
         // the CSR rows ascend too — the documented edge-order invariant.
         let (starts, idx) = Cdg::by_source_node(topo, &channels);
@@ -204,9 +204,7 @@ impl Cdg {
             row_start.push(col.len() as u32);
         }
         let edge_count = col.len();
-        ebda_obs::counter_add("cdg.graph.builds", 1);
-        ebda_obs::counter_add("cdg.graph.nodes", channels.len() as u64);
-        ebda_obs::counter_add("cdg.graph.edges", edge_count as u64);
+        ebda_obs::prof::work("cdg/csr_build", "nodes", channels.len() as u64);
         ebda_obs::prof::work("cdg/csr_build", "edges", edge_count as u64);
         let csr = Csr::new(channels.len(), row_start, col);
         Cdg { channels, csr }
@@ -238,10 +236,9 @@ impl Cdg {
     }
 
     /// Finds a dependency cycle, or `None` when the graph is acyclic —
-    /// Dally's criterion. Same traversal and witness as
-    /// [`crate::cycle::find_cycle`], over the shared CSR with the
-    /// thread-local scratch buffer (no per-call allocation beyond the
-    /// witness itself).
+    /// Dally's criterion, via [`crate::csr::find_cycle`] over the shared
+    /// CSR with the thread-local scratch buffer (no per-call allocation
+    /// beyond the witness itself).
     pub fn find_cycle(&self) -> Option<Vec<ConcreteChannel>> {
         crate::csr::find_cycle(&self.csr).map(|idxs| {
             idxs.into_iter()

@@ -5,12 +5,13 @@
 //! so the suite is fully deterministic and dependency-free; every assert
 //! message carries the case index for replay.
 
-use ebda_cdg::cycle::{cyclic_components, find_cycle, tarjan_scc};
+use ebda_cdg::csr::{find_cycle, tarjan, Csr};
 use ebda_cdg::{Cdg, Topology};
 use ebda_obs::Rng64;
 
 /// A random directed graph as an adjacency list with up to `max_nodes`
-/// nodes and `max_edges` edge draws (duplicates discarded).
+/// nodes and `max_edges` edge draws (duplicates discarded, rows sorted
+/// as the CSR construction invariant requires).
 fn rand_graph(rng: &mut Rng64, max_nodes: usize, max_edges: usize) -> Vec<Vec<u32>> {
     let n = 1 + rng.gen_index(max_nodes - 1);
     let mut g = vec![Vec::new(); n];
@@ -21,18 +22,57 @@ fn rand_graph(rng: &mut Rng64, max_nodes: usize, max_edges: usize) -> Vec<Vec<u3
             g[a].push(b);
         }
     }
+    for row in &mut g {
+        row.sort_unstable();
+    }
     g
 }
 
-/// find_cycle and Tarjan agree: a cycle exists iff some SCC is a knot.
+fn csr_of(g: &[Vec<u32>]) -> Csr {
+    let mut row_start = vec![0u32];
+    let mut col = Vec::new();
+    for row in g {
+        col.extend_from_slice(row);
+        row_start.push(col.len() as u32);
+    }
+    Csr::new(g.len(), row_start, col)
+}
+
+/// Naive reference: `reach[u][v]` iff a path of one or more edges leads
+/// from `u` to `v` (one BFS per node).
+fn reachability(g: &[Vec<u32>]) -> Vec<Vec<bool>> {
+    let n = g.len();
+    (0..n)
+        .map(|u| {
+            let mut seen = vec![false; n];
+            let mut queue: Vec<usize> = g[u].iter().map(|&v| v as usize).collect();
+            while let Some(v) = queue.pop() {
+                if !seen[v] {
+                    seen[v] = true;
+                    queue.extend(g[v].iter().map(|&w| w as usize));
+                }
+            }
+            seen
+        })
+        .collect()
+}
+
+/// A cycle exists iff some node reaches itself; find_cycle and Tarjan
+/// both agree with that.
 #[test]
 fn dfs_and_tarjan_agree() {
     let mut rng = Rng64::new(0xCD61);
     for case in 0..128 {
         let g = rand_graph(&mut rng, 40, 120);
-        let has_cycle = find_cycle(&g).is_some();
-        let has_knot = !cyclic_components(&g).is_empty();
-        assert_eq!(has_cycle, has_knot, "case {case}");
+        let reach = reachability(&g);
+        let expected = (0..g.len()).any(|u| reach[u][u]);
+        let csr = csr_of(&g);
+        assert_eq!(find_cycle(&csr).is_some(), expected, "case {case}");
+        assert_eq!(
+            tarjan(&csr).cyclic.iter().any(|&c| c),
+            expected,
+            "case {case}"
+        );
     }
 }
 
@@ -42,7 +82,7 @@ fn witness_is_a_real_cycle() {
     let mut rng = Rng64::new(0xCD62);
     for case in 0..128 {
         let g = rand_graph(&mut rng, 40, 120);
-        if let Some(cycle) = find_cycle(&g) {
+        if let Some(cycle) = find_cycle(&csr_of(&g)) {
             assert!(!cycle.is_empty(), "case {case}");
             for w in cycle.windows(2) {
                 assert!(g[w[0] as usize].contains(&w[1]), "case {case}");
@@ -53,21 +93,32 @@ fn witness_is_a_real_cycle() {
     }
 }
 
-/// Tarjan SCCs partition the node set.
+/// Tarjan's components are exactly the mutual-reachability classes, and
+/// a component is marked cyclic iff its nodes reach themselves.
 #[test]
 fn sccs_partition_nodes() {
     let mut rng = Rng64::new(0xCD63);
     for case in 0..128 {
         let g = rand_graph(&mut rng, 40, 120);
-        let sccs = tarjan_scc(&g);
-        let mut seen = vec![false; g.len()];
-        for comp in &sccs {
-            for &v in comp {
-                assert!(!seen[v as usize], "case {case}: node in two SCCs");
-                seen[v as usize] = true;
+        let reach = reachability(&g);
+        let scc = tarjan(&csr_of(&g));
+        for (u, from_u) in reach.iter().enumerate() {
+            for (v, from_v) in reach.iter().enumerate() {
+                let mutual = u == v || (from_u[v] && from_v[u]);
+                assert_eq!(
+                    scc.comp_of[u] == scc.comp_of[v],
+                    mutual,
+                    "case {case}: nodes {u} and {v}"
+                );
             }
         }
-        assert!(seen.iter().all(|&s| s), "case {case}");
+        for (c, nodes) in scc.comp_nodes.iter().enumerate() {
+            for &v in nodes {
+                assert_eq!(scc.comp_of[v as usize], c as u32, "case {case}");
+            }
+            let v = nodes[0] as usize;
+            assert_eq!(scc.cyclic[c], reach[v][v], "case {case}: component {c}");
+        }
     }
 }
 
@@ -89,8 +140,12 @@ fn dag_by_construction_is_acyclic() {
                 }
             }
         }
-        assert!(find_cycle(&g).is_none(), "case {case}");
-        assert!(cyclic_components(&g).is_empty(), "case {case}");
+        for row in &mut g {
+            row.sort_unstable();
+        }
+        let csr = csr_of(&g);
+        assert!(find_cycle(&csr).is_none(), "case {case}");
+        assert!(tarjan(&csr).cyclic.iter().all(|&c| !c), "case {case}");
     }
 }
 

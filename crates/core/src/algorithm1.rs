@@ -10,6 +10,7 @@ use crate::error::Result;
 use crate::partition::{DirectionCoverage, Partition};
 use crate::sequence::PartitionSeq;
 use crate::sets::SetArrangement;
+use ebda_obs::prof;
 
 /// Runs Algorithm 1 on an arranged collection of dimension sets, producing
 /// an ordered partition sequence.
@@ -47,7 +48,7 @@ use crate::sets::SetArrangement;
 /// happen for well-formed inputs — each partition takes at most one pair —
 /// but malformed custom sets are reported rather than silently accepted).
 pub fn partition_sets(mut sets: SetArrangement) -> Result<PartitionSeq> {
-    let _span = ebda_obs::span("core.algorithm1.partition_sets");
+    let _phase = prof::phase("core/algorithm1");
     let mut rounds = 0u64;
     let mut partitions: Vec<Partition> = Vec::new();
     reorder(&mut sets);
@@ -78,10 +79,11 @@ pub fn partition_sets(mut sets: SetArrangement) -> Result<PartitionSeq> {
     }
     let before_merge = partitions.len();
     let merged = merge_matching(partitions);
-    ebda_obs::counter_add("core.algorithm1.rounds", rounds);
-    ebda_obs::counter_add("core.algorithm1.partitions_created", before_merge as u64);
-    ebda_obs::counter_add(
-        "core.algorithm1.partitions_merged",
+    prof::work("core/algorithm1", "rounds", rounds);
+    prof::work("core/algorithm1", "partitions_created", before_merge as u64);
+    prof::work(
+        "core/algorithm1",
+        "partitions_merged",
         (before_merge - merged.len()) as u64,
     );
     PartitionSeq::try_from_partitions(merged)

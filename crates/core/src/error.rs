@@ -62,6 +62,12 @@ pub enum EbdaError {
         /// Why it is rejected.
         reason: &'static str,
     },
+    /// A turn was given from a channel class to itself; continuing on the
+    /// same class is not a turn.
+    SelfTurn {
+        /// Printable form of the repeated channel class.
+        channel: String,
+    },
 }
 
 impl fmt::Display for EbdaError {
@@ -99,6 +105,12 @@ impl fmt::Display for EbdaError {
             }
             EbdaError::BadDimension { n, reason } => {
                 write!(f, "unsupported network dimension {n}: {reason}")
+            }
+            EbdaError::SelfTurn { channel } => {
+                write!(
+                    f,
+                    "self-turn {channel}->{channel}: a turn needs two distinct channel classes"
+                )
             }
         }
     }
@@ -139,6 +151,9 @@ mod tests {
             EbdaError::BadDimension {
                 n: 0,
                 reason: "must be at least 1",
+            },
+            EbdaError::SelfTurn {
+                channel: "X1+".into(),
             },
         ];
         for e in errors {

@@ -6,6 +6,7 @@
 //! direction, U-turns (180°) reverse direction within a dimension.
 
 use crate::channel::Channel;
+use crate::error::EbdaError;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -58,6 +59,30 @@ impl Turn {
     pub fn new(from: Channel, to: Channel) -> Turn {
         assert!(from != to, "a turn requires two distinct channel classes");
         Turn { from, to }
+    }
+
+    /// Creates a turn between two channel classes, rejecting a self-turn
+    /// instead of panicking — the constructor for untrusted input such as
+    /// parsed corpus entries, ledger records and CLI arguments.
+    ///
+    /// ```
+    /// use ebda_core::{EbdaError, Turn};
+    /// let x = "X1+".parse()?;
+    /// assert!(Turn::try_new(x, "Y1-".parse()?).is_ok());
+    /// assert!(matches!(Turn::try_new(x, x), Err(EbdaError::SelfTurn { .. })));
+    /// # Ok::<(), ebda_core::EbdaError>(())
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EbdaError::SelfTurn`] when `from == to`.
+    pub fn try_new(from: Channel, to: Channel) -> Result<Turn, EbdaError> {
+        if from == to {
+            return Err(EbdaError::SelfTurn {
+                channel: from.to_string(),
+            });
+        }
+        Ok(Turn { from, to })
     }
 
     /// Classifies the turn by the angle between its channels.

@@ -345,7 +345,7 @@ fn parse_turn(s: &str) -> Result<Turn, String> {
         .ok_or_else(|| format!("corpus entry: turn {s:?} needs a '>'"))?;
     let from = Channel::parse(from.trim()).map_err(|e| format!("corpus entry: turn {s:?}: {e}"))?;
     let to = Channel::parse(to.trim()).map_err(|e| format!("corpus entry: turn {s:?}: {e}"))?;
-    Ok(Turn::new(from, to))
+    Turn::try_new(from, to).map_err(|e| format!("corpus entry: turn {s:?}: {e}"))
 }
 
 #[cfg(test)]

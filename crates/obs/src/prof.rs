@@ -2,10 +2,12 @@
 //! accounting for the tool's own hot paths, plus per-worker busy
 //! timelines for the `ebda-par` pool.
 //!
-//! Where [`crate::telemetry`] times *functions* and [`crate::metrics`]
-//! counts *simulated traffic*, this module answers "where does the tool
-//! itself spend its time, and how much algorithmic work did each phase
-//! do?". Every phase records two kinds of numbers:
+//! Where [`crate::metrics`] counts *simulated traffic*, this module
+//! answers "where does the tool itself spend its time, and how much
+//! algorithmic work did each phase do?" — it is the one recording API
+//! for the tool's own work, from Algorithm 1 (`core/algorithm1`) through
+//! CDG construction (`cdg/csr_build`) to the simulator (`sim/run`).
+//! Every phase records two kinds of numbers:
 //!
 //! * **wall nanoseconds** — honest but noisy, never compared across
 //!   runs by machines;
@@ -29,9 +31,11 @@
 //! flush once per run through [`record`]/[`work`], mirroring the
 //! engine's metrics pattern. When the metrics registry is also enabled,
 //! recording mirrors into the `ebda_prof_phase_calls_total`,
-//! `ebda_prof_phase_wall_ns` and `ebda_prof_work_units_total` families
-//! (the wall family ends in `_ns`, so deterministic rendering omits it
-//! like every other wall-clock family).
+//! `ebda_prof_phase_wall_ns` and `ebda_prof_work_units_total` families,
+//! and every [`phase`] guard also observes its duration into the
+//! `ebda_prof_phase_duration_ns` histogram (the wall families end in
+//! `_ns`, so deterministic rendering omits them like every other
+//! wall-clock family).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -117,7 +121,12 @@ pub struct PhaseGuard {
 impl Drop for PhaseGuard {
     fn drop(&mut self) {
         if let Some((name, t0)) = self.armed.take() {
-            record(name, 1, t0.elapsed().as_nanos() as u64);
+            let ns = t0.elapsed().as_nanos() as u64;
+            record(name, 1, ns);
+            if crate::metrics::enabled() {
+                let labels = [("phase", name.to_string())];
+                crate::metrics::observe("ebda_prof_phase_duration_ns", &labels, ns);
+            }
         }
     }
 }

@@ -496,10 +496,13 @@ impl Provenance {
             let (from, to) = s
                 .split_once('>')
                 .ok_or_else(|| format!("turn {s}: no '>'"))?;
-            turns.insert(Turn::new(
-                Channel::parse(from).map_err(|e| format!("turn {s}: {e}"))?,
-                Channel::parse(to).map_err(|e| format!("turn {s}: {e}"))?,
-            ));
+            turns.insert(
+                Turn::try_new(
+                    Channel::parse(from).map_err(|e| format!("turn {s}: {e}"))?,
+                    Channel::parse(to).map_err(|e| format!("turn {s}: {e}"))?,
+                )
+                .map_err(|e| format!("turn {s}: {e}"))?,
+            );
         }
 
         let ebda_obj = v.get("ebda").ok_or("missing ebda")?;

@@ -214,7 +214,6 @@ pub fn simulate_traced(
     rec: Option<&mut Recorder>,
 ) -> SimResult {
     cfg.validate();
-    let _span = ebda_obs::span("sim.engine.run");
     Simulator::new(topo, relation, cfg, rec).run()
 }
 
@@ -621,7 +620,7 @@ impl<'a> Simulator<'a> {
         );
     }
 
-    /// Takes one periodic telemetry sample if a recorder is attached and
+    /// Takes one periodic time-series sample if a recorder is attached and
     /// its cadence says a sample is due this cycle.
     fn take_sample(&mut self, cycle: u64) {
         let Some(rec) = self.rec.as_deref_mut() else {
@@ -830,11 +829,6 @@ impl<'a> Simulator<'a> {
     }
 
     fn finish(mut self, outcome: Outcome, cycles: u64) -> SimResult {
-        ebda_obs::counter_add("sim.engine.runs", 1);
-        ebda_obs::counter_add("sim.engine.cycles", cycles);
-        ebda_obs::counter_add("sim.engine.packets_injected", self.injected);
-        ebda_obs::counter_add("sim.engine.packets_delivered", self.delivered);
-        ebda_obs::counter_add("sim.engine.routing_faults", self.routing_faults);
         if self.metrics_on {
             self.flush_metrics(&outcome, cycles);
         }

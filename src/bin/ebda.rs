@@ -633,15 +633,13 @@ fn cmd_certify(args: &[String]) -> Result<(), String> {
             .ok_or_else(|| format!("turn {token:?} must look like X1+>Y1+"))?;
         let from = Channel::parse(a.trim()).map_err(|e| e.to_string())?;
         let to = Channel::parse(b.trim()).map_err(|e| e.to_string())?;
-        if from == to {
-            return Err(format!("turn {token:?} repeats one channel"));
-        }
+        let turn = Turn::try_new(from, to).map_err(|e| format!("turn {token:?}: {e}"))?;
         for c in [from, to] {
             if !universe.contains(&c) {
                 universe.push(c);
             }
         }
-        turns.insert(Turn::new(from, to));
+        turns.insert(turn);
     }
     if turns.is_empty() {
         return Err("no turns given".into());
@@ -930,12 +928,12 @@ fn monitor_snapshot(addr: &str, samples: &[ebda_obs::metrics::Sample]) -> String
             .collect();
         let _ = writeln!(out, "hottest channels: {}", top.join(" | "));
     }
-    let spans = samples
+    let phases = samples
         .iter()
-        .filter(|s| s.name == "ebda_span_invocations_total")
+        .filter(|s| s.name == "ebda_prof_phase_calls_total")
         .count();
-    if spans > 0 {
-        let _ = writeln!(out, "telemetry: {spans} span families");
+    if phases > 0 {
+        let _ = writeln!(out, "profile: {phases} phases");
     }
     out.trim_end().to_string()
 }
@@ -1031,6 +1029,9 @@ mod tests {
         reg.counter_add("ebda_watchdog_trips_total", &[], 1);
         reg.counter_add("ebda_watchdog_suspected_cycles_total", &[], 1);
         reg.gauge_set("ebda_watchdog_suspected_cycle_len", &[], 4.0);
+        for phase in ["sim/run", "sim/run/route"] {
+            reg.counter_add("ebda_prof_phase_calls_total", &[("phase", phase.into())], 2);
+        }
         reg.gauge_set(
             "ebda_sim_channel_utilization",
             &[
@@ -1061,6 +1062,7 @@ mod tests {
             snap.contains("hottest channels: n3 d0+ vc0 0.250"),
             "{snap}"
         );
+        assert!(snap.contains("profile: 2 phases"), "{snap}");
         server.shutdown();
     }
 

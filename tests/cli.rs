@@ -193,3 +193,81 @@ fn verify_profile_out_records_duato_without_changing_verdict_bytes() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Rewrites the first turn of a JSON `turns` array (`key` is the array's
+/// opening, escaped or not) into the self-turn `X1+>X1+`.
+fn with_self_turn(text: &str, key: &str, quote: &str) -> String {
+    let start = text.find(key).expect("turns array present") + key.len() + quote.len();
+    let end = start + text[start..].find(quote).expect("turn string closes");
+    format!("{}X1+>X1+{}", &text[..start], &text[end..])
+}
+
+#[test]
+fn corpus_run_rejects_a_self_turn_entry_cleanly() {
+    let seed = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus/seed");
+    let dir = std::env::temp_dir().join(format!("ebda-self-turn-corpus-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut names: Vec<_> = std::fs::read_dir(&seed)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    names.sort();
+    for (i, path) in names.iter().enumerate() {
+        let mut text = std::fs::read_to_string(path).unwrap();
+        if i == 0 {
+            text = with_self_turn(&text, "\"turns\": [", "\"");
+            assert!(text.contains("\"X1+>X1+\""), "tampering took effect");
+        }
+        std::fs::write(dir.join(path.file_name().unwrap()), text).unwrap();
+    }
+    let out = ebda(&["corpus", "run", dir.to_str().unwrap(), "--threads", "1"]);
+    std::fs::remove_dir_all(&dir).ok();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_ne!(out.status.code(), Some(101), "panicked: {err}");
+    assert!(
+        !out.status.success(),
+        "a self-turn entry must fail the load"
+    );
+    assert!(
+        err.contains("X1+>X1+") && err.contains("self-turn"),
+        "{err}"
+    );
+}
+
+#[test]
+fn check_cert_reports_a_self_turn_record_cleanly() {
+    let dir = std::env::temp_dir().join(format!("ebda-self-turn-ledger-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let ledger = dir.join("v.jsonl");
+    let tampered = dir.join("tampered.jsonl");
+    let out = ebda(&[
+        "verify",
+        "X- | X+ Y+ Y-",
+        "--mesh",
+        "4x4",
+        "--ledger",
+        ledger.to_str().unwrap(),
+    ]);
+    assert!(out.status.success());
+    let text = std::fs::read_to_string(&ledger).unwrap();
+    let bad = with_self_turn(&text, "\\\"turns\\\":[", "\\\"");
+    assert!(bad.contains("\\\"X1+>X1+\\\""), "tampering took effect");
+    std::fs::write(&tampered, bad).unwrap();
+    let out = ebda(&["check-cert", tampered.to_str().unwrap()]);
+    std::fs::remove_dir_all(&dir).ok();
+    assert_ne!(
+        out.status.code(),
+        Some(101),
+        "panicked: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        !out.status.success(),
+        "a self-turn record must fail the check"
+    );
+    let report = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        report.contains("FAIL line 1") && report.contains("self-turn"),
+        "{report}"
+    );
+}
